@@ -23,7 +23,8 @@ opaque.
 from __future__ import annotations
 
 import abc
-from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, Union
+from collections.abc import Mapping
+from typing import Any, Callable, Iterable, Optional, Sequence, Union
 
 from repro.core.interpreters import Filter, Interpreter
 from repro.core.pointers import Pointer, PointerKind, PointerRange

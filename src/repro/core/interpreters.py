@@ -17,7 +17,8 @@ are expressible.
 from __future__ import annotations
 
 import abc
-from typing import Any, Callable, Mapping, Optional, Sequence
+from collections.abc import Mapping
+from typing import Any, Callable, Optional, Sequence
 
 from repro.core.records import Record
 

@@ -10,7 +10,8 @@ Interpreter` functions — this is what preserves schema-on-read.
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Mapping
+from collections.abc import Mapping
+from typing import Any, Iterator
 
 __all__ = ["Record", "estimate_size"]
 

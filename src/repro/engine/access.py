@@ -796,11 +796,27 @@ def recovering_dereference(cluster: Cluster, config: EngineConfig,
     post-filter output count — the observed cardinality adaptive
     re-optimization corrects estimates with.  ``feedback=None`` (the
     default config) is a pure passthrough.
+
+    When nothing is attached — no fault plan, no topology controller, no
+    invocation timeout, no delta registry, a healthy structure and a job
+    not aborted — every wrapper layer is a passthrough, so the probe goes
+    straight to :func:`simulated_dereference`.
     """
-    records = yield from _recovering_dereference_impl(
-        cluster, config, metrics, stage, dereferencer, file, target,
-        partition_id, executing_node, context, catalog=catalog,
-        failures=failures, runtime=runtime, abort_check=abort_check)
+    if (cluster.faults is None and cluster.topology is None
+            and config.dereference_timeout <= 0
+            and (catalog is None
+                 or (catalog.delta_registry is None
+                     and (not isinstance(file, BtreeFile)
+                          or catalog.healthy(file.name))))
+            and (abort_check is None or not abort_check())):
+        records = yield from simulated_dereference(
+            cluster, config, metrics, stage, dereferencer, file, target,
+            partition_id, executing_node, context)
+    else:
+        records = yield from _recovering_dereference_impl(
+            cluster, config, metrics, stage, dereferencer, file, target,
+            partition_id, executing_node, context, catalog=catalog,
+            failures=failures, runtime=runtime, abort_check=abort_check)
     if config.feedback is not None:
         config.feedback.observe(stage, len(records))
     return records

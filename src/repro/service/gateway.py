@@ -129,6 +129,8 @@ class ServiceTicket:
     deadline_hit: bool = field(default=False, repr=False)
     #: True when the result came straight from the semantic cache
     served_from_cache: bool = False
+    #: the lake token at dispatch: the snapshot a cached result is keyed by
+    cache_token: Optional[tuple] = field(default=None, repr=False)
 
     @property
     def admitted(self) -> bool:
@@ -373,6 +375,7 @@ class QueryGateway:
         tracker = self.metrics[ticket.tenant]
         ticket.state = "running"
         ticket.dispatched_at = now
+        ticket.cache_token = self._cache_token()
         tracker.queue_waits.append(now - ticket.arrival)
         self._running += 1
         if ticket.work is not None:
@@ -440,13 +443,19 @@ class QueryGateway:
                       result: JobResult) -> None:
         """Populate the cache from a finished job — and always strip the
         in-flight provenance key so served rows are bit-identical to a
-        cacheless gateway's."""
+        cacheless gateway's.
+
+        A job is cached under the lake token it was dispatched with, and
+        only if the lake did not change while it ran: a job spanning an
+        ingest commit or a placement flip read some of the old lake, so
+        its rows are right for neither token."""
         cache = self.result_cache
         assert cache is not None and ticket.job is not None
         if (ticket.state == "completed" and result.complete
-                and not ticket.degraded):
+                and not ticket.degraded
+                and ticket.cache_token == self._cache_token()):
             result.rows[:] = cache.insert(ticket.job, result.rows,
-                                          self._cache_token())
+                                          ticket.cache_token)
         else:
             result.rows[:] = cache.strip_rows(result.rows)
 

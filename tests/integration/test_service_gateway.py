@@ -4,8 +4,9 @@ Covers the serving state machine against a real cluster + engine: the
 zero-load bit-identity guarantee, both admission rungs, deadlines
 expiring in queue vs mid-stage, graceful degradation, fairness under a
 flooding tenant, shed-then-resubmit idempotency of background work,
-cancellation racing a node crash mid-retry, and the exact reconciliation
-of service-level metrics with engine-level metrics.
+cancellation racing a node crash mid-retry, the exact reconciliation
+of service-level metrics with engine-level metrics, and the result
+cache's snapshot rule for a job that spans an ingest commit.
 """
 
 import pytest
@@ -23,6 +24,7 @@ from repro.core import (
 )
 from repro.engine import SmpeEngine
 from repro.errors import ExecutionError
+from repro.ingest import IngestCoordinator, MicroBatch
 from repro.service import (
     BackgroundWork,
     OverloadPolicy,
@@ -31,6 +33,7 @@ from repro.service import (
     TenantSpec,
     background_build,
 )
+from repro.service.result_cache import SemanticResultCache
 from repro.storage import DistributedFileSystem
 
 INTERP = MappingInterpreter()
@@ -420,3 +423,44 @@ class TestReconciliation:
         assert set(report) == {"a", "b"}
         assert report["a"]["completed"] == 1
         assert report["b"]["submitted"] == 0
+
+
+class TestResultCacheSnapshot:
+    def test_job_spanning_a_commit_is_not_cached(self):
+        """A job dispatched before an ingest commit and finishing after it
+        read (part of) the old lake: caching it under the post-commit
+        token would serve pre-commit rows as current ones."""
+        dfs = DistributedFileSystem(num_nodes=NUM_NODES)
+        catalog = StructureCatalog(dfs)
+        catalog.register_file(
+            "t", [Record({"pk": i, "attr": i % 50}) for i in range(2000)],
+            lambda r: r["pk"])
+        catalog.register_access_method(AccessMethodDefinition(
+            name="idx_attr", base_file="t", interpreter=INTERP,
+            key_field="attr", scope="global"))
+        catalog.build_all()
+        coordinator = IngestCoordinator(catalog)
+        batch = coordinator.stage(MicroBatch(
+            "t", appends=[Record({"pk": 5000 + i, "attr": 5})
+                          for i in range(4)], event_time=1.0))
+        cache = SemanticResultCache(8 << 20)
+        cluster, gateway = make_gateway(catalog, result_cache=cache)
+        gateway.register(TenantSpec("a"))
+
+        spanning = gateway.submit("a", make_job(0))
+        cluster.run_until(cluster.sim.timeout(1e-6))
+        assert spanning.state == "running"
+        coordinator.flush(batch)  # commits mid-job, at once
+        drain(cluster, [spanning])
+        assert spanning.state == "completed"
+        assert cache.insertions == 0
+
+        repeat = gateway.submit("a", make_job(0))
+        assert not repeat.served_from_cache
+        drain(cluster, [repeat])
+        assert {5000, 5001, 5002, 5003} <= {
+            row.record["pk"] for row in repeat.result.rows}
+        # Dispatched after the commit, the repeat itself is cacheable.
+        again = gateway.submit("a", make_job(0))
+        assert again.served_from_cache
+
